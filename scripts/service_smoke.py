@@ -2,9 +2,15 @@
 """CI smoke test for the serve front end.
 
 Starts ``repro serve`` as a real subprocess, fires concurrent ``/refine``
-requests against two datasets, and diffs every server answer (canonical
-serialization, timings excluded) against a one-shot ``repro refine --json``
-subprocess for the same request.  Exits non-zero on any mismatch.
+requests against three datasets, then repeats each request sequentially, and
+diffs every server answer (canonical serialization, timings excluded)
+against a one-shot ``repro refine --json`` subprocess for the same request.
+The sequential repeats come after the problem was proven, so each must be
+answered from the stored proof: the sessions' ``answers_reused`` counter in
+``/stats`` must rise by one per repeat.  The law_students Kendall case runs
+the MILP cut loop, whose statistics (``cut_rounds``, ``rows_generated``) a
+repeat must report exactly like the one-shot run.  Exits non-zero on any
+mismatch.
 
 Usage::
 
@@ -29,14 +35,28 @@ from repro.service.engine import RefineResponse  # noqa: E402
 
 CONCURRENCY = 6
 
-#: (dataset, CLI dataset arguments, wire-form dataset_parameters, constraint)
+#: Sequential requests per case once its concurrent round has completed.
+REPEATS = 3
+
+#: (dataset, CLI dataset arguments, wire-form dataset_parameters, constraint,
+#: distance, epsilon)
 CASES = [
-    ("students", [], {}, ("3@6:Gender=F", {"Gender": "F"}, 3, 6)),
+    ("students", [], {}, ("3@6:Gender=F", {"Gender": "F"}, 3, 6), "pred", 0.5),
     (
         "meps",
         ["--rows", "300"],
         {"num_rows": 300},
         ("5@10:Sex=F", {"Sex": "F"}, 5, 10),
+        "pred",
+        0.5,
+    ),
+    (
+        "law_students",
+        ["--rows", "1500"],
+        {"num_rows": 1500},
+        ("5@10:Sex=M", {"Sex": "M"}, 5, 10),
+        "kendall",
+        0.0,
     ),
 ]
 
@@ -50,7 +70,8 @@ def run_environment() -> dict:
 def start_server() -> tuple[subprocess.Popen, str]:
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--warm", "students", "--warm", "meps:num_rows=300"],
+         "--warm", "students", "--warm", "meps:num_rows=300",
+         "--warm", "law_students:num_rows=1500"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -81,10 +102,17 @@ def start_server() -> tuple[subprocess.Popen, str]:
     raise SystemExit("server never became healthy")
 
 
-def cli_canonical(dataset: str, dataset_arguments: list[str], constraint: str) -> str:
+def cli_canonical(
+    dataset: str,
+    dataset_arguments: list[str],
+    constraint: str,
+    distance: str,
+    epsilon: float,
+) -> str:
     completed = subprocess.run(
         [sys.executable, "-m", "repro", "refine", "--dataset", dataset,
          *dataset_arguments, "--at-least", constraint,
+         "--distance", distance, "--epsilon", str(epsilon),
          "--method", "milp+opt", "--jobs", "1", "--json"],
         capture_output=True,
         text=True,
@@ -107,18 +135,30 @@ def server_canonical(base_url: str, payload: dict) -> str:
         return RefineResponse.from_dict(json.loads(response.read())).canonical_json()
 
 
+def server_stats(base_url: str) -> dict:
+    with urllib.request.urlopen(base_url + "/stats", timeout=30) as response:
+        return json.loads(response.read())
+
+
+def answers_reused(base_url: str) -> int:
+    sessions = server_stats(base_url)["sessions"]["sessions"]
+    return sum(session["answers_reused"] for session in sessions)
+
+
 def main() -> int:
     process, base_url = start_server()
     failures = 0
     try:
-        for dataset, cli_args, parameters, constraint in CASES:
+        for dataset, cli_args, parameters, constraint, distance, epsilon in CASES:
             text, group, bound, k = constraint
-            expected = cli_canonical(dataset, cli_args, text)
+            expected = cli_canonical(dataset, cli_args, text, distance, epsilon)
             payload = {
                 "dataset": dataset,
                 "constraints": [
                     {"kind": "at_least", "bound": bound, "k": k, "group": group}
                 ],
+                "distance": distance,
+                "epsilon": epsilon,
                 "method": "milp+opt",
                 "jobs": 1,
             }
@@ -135,9 +175,21 @@ def main() -> int:
             verdict = "OK" if mismatches == 0 else f"MISMATCH x{mismatches}"
             print(f"{dataset}: {CONCURRENCY} concurrent answers vs CLI -> {verdict}")
             failures += mismatches
-        with urllib.request.urlopen(base_url + "/stats", timeout=30) as response:
-            stats = json.loads(response.read())
-        print("server stats:", json.dumps(stats, sort_keys=True))
+
+            reused_before = answers_reused(base_url)
+            repeats = [server_canonical(base_url, payload) for _ in range(REPEATS)]
+            mismatches = sum(1 for answer in repeats if answer != expected)
+            reused = answers_reused(base_url) - reused_before
+            verdict = "OK" if mismatches == 0 else f"MISMATCH x{mismatches}"
+            print(
+                f"{dataset}: {REPEATS} sequential repeats vs CLI -> {verdict}, "
+                f"{reused} answered from the stored proof"
+            )
+            failures += mismatches
+            if reused < REPEATS:
+                print(f"{dataset}: only {reused} of {REPEATS} repeats reused the proof")
+                failures += REPEATS - reused
+        print("server stats:", json.dumps(server_stats(base_url), sort_keys=True))
     finally:
         process.terminate()
         try:
@@ -145,7 +197,7 @@ def main() -> int:
         except subprocess.TimeoutExpired:
             process.kill()
     if failures:
-        print(f"FAILED: {failures} mismatching answers", file=sys.stderr)
+        print(f"FAILED: {failures} mismatching or re-solved answers", file=sys.stderr)
         return 1
     print("service smoke passed")
     return 0

@@ -167,6 +167,10 @@ def _one_shot_engine(args: argparse.Namespace):
 def _print_refine_response(response) -> int:
     """Render a :class:`RefineResponse` in the classic human-readable form."""
     infeasible_note = "No refinement within the requested maximum deviation exists."
+    timeout_note = (
+        "The time limit expired before the solver found a refinement; "
+        "a larger --time-limit or --deadline may find one."
+    )
     timings = response.timings
     if response.engine == "exhaustive":
         stats = response.statistics
@@ -223,7 +227,7 @@ def _print_refine_response(response) -> int:
             f"solve={timings['solve_seconds']:.3f}s"
         )
         if not response.feasible:
-            print(infeasible_note)
+            print(timeout_note if response.status == "timeout" else infeasible_note)
             return 1
         for index, entry in enumerate(response.refinements, start=1):
             print(
@@ -235,6 +239,14 @@ def _print_refine_response(response) -> int:
             print(entry["refined_sql"])
         return 0
     if not response.feasible:
+        if response.status == "timeout":
+            print(
+                f"[{response.method}/{response.distance_code}] timeout "
+                f"setup={timings['setup_seconds']:.3f}s "
+                f"solve={timings['solve_seconds']:.3f}s"
+            )
+            print(timeout_note)
+            return 1
         print(
             f"[{response.method}/{response.distance_code}] no refinement within the "
             "maximum deviation exists"

@@ -55,7 +55,7 @@ from repro.core.refinement import Refinement
 from repro.exceptions import RefinementError
 from repro.milp.expression import Variable, linear_sum
 from repro.milp.model import SENSE_EQ, SENSE_GE, SENSE_LE, Model
-from repro.milp.solution import Solution
+from repro.milp.solution import Solution, SolveStatus
 from repro.provenance.lineage import (
     AnnotatedDatabase,
     CategoricalAtom,
@@ -87,6 +87,9 @@ class EricaResult:
     solve_seconds: float = 0.0
     total_seconds: float = 0.0
     model_statistics: dict[str, int] = field(default_factory=dict)
+    #: Terminal backend status of the solve that ended the search
+    #: (``"time_limit"`` also when the budget ran out between solves).
+    solution_status: str = ""
 
     @property
     def feasible(self) -> bool:
@@ -167,11 +170,13 @@ class EricaBaseline:
         refinements: list[EricaRefinement] = []
         solve_seconds = 0.0
         previous_objective: float | None = None
+        solution_status = ""
         for round_index in range(num_solutions):
             options: dict[str, object] = {}
             if deadline is not None:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
+                    solution_status = SolveStatus.TIME_LIMIT.value
                     break
                 # Split the remaining budget evenly across the remaining
                 # solves, so an easy early solve donates its slack to the
@@ -185,6 +190,7 @@ class EricaBaseline:
                 options["known_lower_bound"] = previous_objective
             solution = model.solve(self.backend, **options)
             solve_seconds += solution.solve_seconds
+            solution_status = solution.status.value
             if not solution.is_feasible:
                 break
             if solution.is_optimal:
@@ -221,6 +227,7 @@ class EricaBaseline:
             solve_seconds=solve_seconds,
             total_seconds=setup_seconds + solve_seconds,
             model_statistics=statistics,
+            solution_status=solution_status,
         )
 
     # -- model construction ------------------------------------------------------------

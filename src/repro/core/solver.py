@@ -47,11 +47,18 @@ class PreparedProblem:
     building them.  A warm dataset session caches one per distinct
     ``(constraints, epsilon, distance, method)`` so a repeated request skips
     setup entirely and re-solves from the cached standard form.
+
+    ``answers`` holds the results a backend *proved* on this problem
+    (``solution_status`` ``optimal`` or ``infeasible``), keyed by that
+    backend's name.  The problem is deterministic, so a proof stays valid
+    for as long as the prepared problem lives; a warm session answers a
+    repeat from here without another backend solve.
     """
 
     original_result: RankedResult
     artifacts: BuildArtifacts
     setup_seconds: float
+    answers: dict[str, RefinementResult] = field(default_factory=dict)
 
 
 @dataclass
@@ -81,6 +88,11 @@ class RefinementResult:
     #: ...) — lets anytime callers distinguish a proven optimum from a
     #: time-limited incumbent.
     solution_status: str = ""
+
+    @property
+    def proven(self) -> bool:
+        """True when the backend proved this answer (optimal or infeasible)."""
+        return self.solution_status in ("optimal", "infeasible")
 
     @property
     def sql(self) -> str | None:
@@ -352,7 +364,9 @@ class RefinementSolver:
             feasible=False,
             method=self.method,
             distance_code=self.distance.code,
-            model_statistics=artifacts.statistics,
+            # A copy: solve() adds per-solve entries, and the artifacts are
+            # shared by every solve of a prepared problem.
+            model_statistics=dict(artifacts.statistics),
             solution_status=solution.status.value,
         )
         if not solution.is_feasible:

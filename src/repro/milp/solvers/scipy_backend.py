@@ -31,6 +31,14 @@ _STATUS_MAP = {
 }
 
 
+#: scipy's catch-all status, under which it reports the objective-target stop.
+_SCIPY_OTHER = 4
+
+#: Smallest time limit of the target re-solve: a spent budget still buys a
+#: token solve, whose time-limit stop is then reported as such.
+_MIN_RETRY_LIMIT = 0.01
+
+
 class ScipySolver(SolverBackend):
     """Exact MILP solves through SciPy's HiGHS bindings."""
 
@@ -62,9 +70,11 @@ class ScipySolver(SolverBackend):
         the target stop (HiGHS status 12), so when that stop fires the
         incumbent comes back as ``res.x is None`` with an error code.  The
         stop itself proves the optimum equals the bound, so the backend
-        re-solves once without the target to recover the incumbent — the
-        guidance then costs one extra (early-stopped) solve instead of
-        returning an empty ``ERROR`` solution.
+        re-solves once without the target, within whatever is left of
+        ``time_limit``, to recover the incumbent — the guidance then costs
+        one extra (early-stopped) solve instead of returning an empty
+        ``ERROR`` solution.  Time-limit and infeasibility stops have their
+        own status and are returned as they are.
         """
         try:
             from scipy.optimize import Bounds, LinearConstraint, milp
@@ -122,7 +132,11 @@ class ScipySolver(SolverBackend):
                 bounds=bounds,
                 options=solver_options,
             )
-            if result.x is None and "objective_target" in solver_options:
+            if (
+                result.x is None
+                and result.status == _SCIPY_OTHER
+                and "objective_target" in solver_options
+            ):
                 # HiGHS stopped because an incumbent reached the objective
                 # target, but scipy discards the solution vector for that
                 # model status.  Reaching the target proves the optimum
@@ -130,6 +144,11 @@ class ScipySolver(SolverBackend):
                 # the incumbent.
                 retry_options = dict(solver_options)
                 del retry_options["objective_target"]
+                if time_limit is not None:
+                    spent = time.perf_counter() - started
+                    retry_options["time_limit"] = max(
+                        float(time_limit) - spent, _MIN_RETRY_LIMIT
+                    )
                 result = milp(
                     c=form.c,
                     constraints=constraints,

@@ -4,10 +4,13 @@ A serving front end sees bursts of identical refine requests (the same
 dashboard opened by many users, a retrying client).  Solving each copy is
 pure waste — the problem is deterministic — so the coalescer keys every
 computation by its canonical request key and lets late arrivals *join* the
-in-flight leader instead of starting their own solve.  Results are not cached
-past completion: coalescing only collapses concurrency, so a request arriving
-after the leader finished computes afresh (sessions keep the heavy state warm,
-which is the layer that makes the re-compute cheap).
+in-flight leader instead of starting their own solve.  The coalescer keeps
+nothing past completion: it only collapses concurrency.  A request arriving
+after the leader finished is answered by the session layer instead — a MILP
+problem a backend proved optimal or infeasible is served from the proof kept
+on its prepared model (until that model is evicted), and everything else
+(time-limited incumbents, time-outs, degraded fallbacks, exhaustive, Erica
+and portfolio requests) computes afresh on the session's warm state.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ same bytes for the same request (timings excluded — see
 
 Identical in-flight requests are coalesced into one computation
 (:class:`~repro.service.coalesce.RequestCoalescer`); the engine's
-``solves_started`` counter exposes how many solves actually ran.
+``solves_started`` counter exposes how many computations actually ran.  A
+MILP computation whose problem a backend already proved is answered from
+the proof kept by the session, without a backend solve.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.core.deadline import Deadline, current_deadline, deadline_scope
 from repro.core.solver import RefinementSolver
 from repro.datasets.registry import DATASET_BUILDERS
 from repro.exceptions import InfeasibleError, RefinementError, SolverError
+from repro.milp.solvers import get_solver
 from repro.relational.sqlgen import render_sql
 from repro.service.coalesce import RequestCoalescer
 from repro.service.session import DatasetSession, SessionPool
@@ -55,6 +58,26 @@ DATASET_PARAMETERS = ("num_rows", "scale_factor", "seed")
 #: Wall-clock cap on an exhaustive fallback solve when the degraded request
 #: carries neither a time limit nor a deadline (never run unbounded).
 DEGRADED_FALLBACK_BUDGET_S = 30.0
+
+
+def _answer_status(feasible: bool, solution_status: str) -> str:
+    """Wire status of a MILP or Erica answer from its terminal solve status.
+
+    Only a proof of infeasibility answers ``infeasible``: a solve that ran
+    out of time or nodes before finding any incumbent answers ``timeout``,
+    and one that stopped on a backend error raises, so the MILP path
+    degrades to the exhaustive engine.
+    """
+    if feasible:
+        return "ok"
+    if solution_status == "infeasible":
+        return "infeasible"
+    if solution_status in ("time_limit", "node_limit"):
+        return "timeout"
+    raise SolverError(
+        f"the MILP backend stopped with status {solution_status!r} "
+        "and no incumbent"
+    )
 
 
 @dataclass(frozen=True)
@@ -565,13 +588,22 @@ class RefinementEngine:
             annotated=session.annotated(),
         )
         prepared = session.prepared_milp(request.milp_key(), solver.prepare)
-        result = solver.solve(prepared=prepared)
+        backend = get_solver(request.backend).name
+        stored = session.proven_answer(prepared, backend)
+        if stored is not None:
+            # A proof is final: answer it again, without a backend solve.
+            result = replace(
+                stored, solve_seconds=0.0, total_seconds=stored.setup_seconds
+            )
+        else:
+            result = solver.solve(prepared=prepared)
+            session.keep_answer(prepared, backend, result)
         response = RefineResponse(
             request=request,
             engine="milp",
             method=result.method,
             distance_code=result.distance_code,
-            status="ok" if result.feasible else "infeasible",
+            status=_answer_status(result.feasible, result.solution_status),
             feasible=result.feasible,
             statistics=dict(result.model_statistics),
             timings={
@@ -660,7 +692,7 @@ class RefinementEngine:
             engine="erica",
             method="erica",
             distance_code=get_distance("pred").code,
-            status="ok" if result.feasible else "infeasible",
+            status=_answer_status(result.feasible, result.solution_status),
             feasible=result.feasible,
             statistics=dict(result.model_statistics),
             refinements=[

@@ -14,7 +14,9 @@ across refine requests:
   sweep caches);
 * prepared MILPs (:class:`~repro.core.PreparedProblem`) keyed by problem, so
   a repeated request re-solves from the cached lowered standard form instead
-  of re-running setup.
+  of re-running setup — or, once a backend has proven the problem optimal or
+  infeasible, answers from that proof without solving at all.  A proof lives
+  and is evicted with the prepared MILP it belongs to.
 
 :class:`SessionPool` bounds the number of live sessions with LRU eviction;
 an evicted session's sqlite connections are closed.
@@ -30,7 +32,7 @@ from typing import Callable, Mapping
 
 from repro.analysis.debug_locks import guard_mapping
 from repro.core.naive import MaskIndexData
-from repro.core.solver import PreparedProblem
+from repro.core.solver import PreparedProblem, RefinementResult
 from repro.datasets import load_dataset
 from repro.provenance.lineage import AnnotatedDatabase, annotate
 from repro.relational.database import Database
@@ -78,6 +80,8 @@ class DatasetSession:
             OrderedDict(), self._lock, "DatasetSession._prepared_milps"
         )
         self.warmed = False
+        #: Requests answered from a stored proof instead of a backend solve.
+        self.answers_reused = 0
 
     @property
     def key(self) -> tuple:
@@ -152,6 +156,30 @@ class DatasetSession:
                 self._prepared_milps.popitem(last=False)
             return prepared
 
+    def proven_answer(
+        self, prepared: PreparedProblem, backend: str
+    ) -> RefinementResult | None:
+        """The answer ``backend`` proved on ``prepared``, if it proved one."""
+        with self._lock:
+            answer = prepared.answers.get(backend)
+            if answer is not None:
+                self.answers_reused += 1
+            return answer
+
+    def keep_answer(
+        self, prepared: PreparedProblem, backend: str, result: RefinementResult
+    ) -> None:
+        """Store ``result`` for reuse if ``backend`` proved it.
+
+        Time-limited incumbents and time-outs are never stored: a later
+        request with more budget may do better.  The first proof stored
+        stays, so every reuse answers the same bytes.
+        """
+        if not result.proven:
+            return
+        with self._lock:
+            prepared.answers.setdefault(backend, result)
+
     def close(self) -> None:
         """Release per-session resources (pooled sqlite connections)."""
         self.executor.close_connections()
@@ -165,6 +193,7 @@ class DatasetSession:
                 "warmed": self.warmed,
                 "annotated": self._annotated is not None,
                 "prepared_milps": len(self._prepared_milps),
+                "answers_reused": self.answers_reused,
             }
 
 

@@ -143,6 +143,55 @@ def test_scipy_objective_target_stop_recovers_the_incumbent(monkeypatch):
     assert solution.objective_value == pytest.approx(reference.objective_value)
 
 
+def _scripted_milp(monkeypatch, first_result):
+    """Replace ``scipy.optimize.milp``: return ``first_result`` on the first
+    call and solve for real afterwards; returns the options of every call."""
+    import scipy.optimize
+
+    real_milp = scipy.optimize.milp
+    calls = []
+
+    def scripted(*args, **kwargs):
+        calls.append(dict(kwargs.get("options", {})))
+        if len(calls) == 1:
+            return first_result
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", scripted)
+    return calls
+
+
+@pytest.mark.skipif(not scipy_milp_available(), reason="scipy.optimize.milp missing")
+def test_scipy_time_limit_stop_with_a_target_calls_highs_once(monkeypatch):
+    """A time-limit stop (scipy status 1) is not the target stop: no re-solve."""
+    from scipy.optimize import OptimizeResult
+
+    model, _ = knapsack()
+    calls = _scripted_milp(
+        monkeypatch,
+        OptimizeResult(status=1, x=None, fun=None, message="Time limit reached."),
+    )
+    solution = ScipySolver().solve(model, time_limit=5.0, known_lower_bound=56.0)
+    assert len(calls) == 1
+    assert solution.status is SolveStatus.TIME_LIMIT
+    assert not solution.has_incumbent
+
+
+@pytest.mark.skipif(not scipy_milp_available(), reason="scipy.optimize.milp missing")
+def test_scipy_target_re_solve_gets_only_the_time_left(monkeypatch):
+    from scipy.optimize import OptimizeResult
+
+    model, _ = knapsack()
+    calls = _scripted_milp(
+        monkeypatch, OptimizeResult(status=4, x=None, fun=None, message="Target")
+    )
+    solution = ScipySolver().solve(model, time_limit=5.0, known_lower_bound=56.0)
+    assert len(calls) == 2
+    assert calls[0]["time_limit"] == 5.0
+    assert 0.0 < calls[1]["time_limit"] < 5.0
+    assert solution.objective_value == pytest.approx(56.0)
+
+
 def test_has_incumbent_is_false_without_an_assignment():
     model = Model()
     x = model.binary_var("x")

@@ -195,3 +195,69 @@ class TestCliJson:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is False
+
+
+HARD_LAW_STUDENTS = (
+    ConstraintSpec("at_least", 5, 10, (("Sex", "F"),)),
+    ConstraintSpec("at_least", 5, 10, (("Sex", "M"),)),
+    ConstraintSpec("at_least", 2, 10, (("Race", "Black"),)),
+)
+
+
+class TestTimeLimitStops:
+    """Only a proof answers ``infeasible``; running out of time is a ``timeout``."""
+
+    def test_milp_stop_without_incumbent_is_a_timeout(self):
+        response = RefinementEngine().refine(
+            RefineRequest(
+                dataset="law_students",
+                constraints=HARD_LAW_STUDENTS,
+                dataset_parameters=(("num_rows", 1_500),),
+                epsilon=0.0,
+                distance="kendall",
+                method="milp",
+                time_limit=0.01,
+            )
+        )
+        assert response.status == "timeout"
+        assert not response.feasible
+
+    def test_proven_infeasible_stays_infeasible(self):
+        response = RefinementEngine().refine(
+            students_request(
+                constraints=(
+                    ConstraintSpec("at_least", 6, 6, (("Gender", "F"),)),
+                    ConstraintSpec("at_least", 6, 6, (("Gender", "M"),)),
+                ),
+                time_limit=30.0,
+            )
+        )
+        assert response.status == "infeasible"
+        assert not response.feasible
+
+    def test_erica_stop_without_incumbent_is_a_timeout(self):
+        response = RefinementEngine().refine(
+            RefineRequest(
+                dataset="meps",
+                constraints=(ConstraintSpec("at_least", 5, 10, (("Sex", "F"),)),),
+                dataset_parameters=(("num_rows", 1_200),),
+                method="erica",
+                time_limit=0.001,
+            )
+        )
+        assert response.status == "timeout"
+        assert not response.feasible
+
+    def test_cli_reports_a_milp_timeout(self, capsys):
+        code = main(
+            [
+                "refine", "--dataset", "law_students", "--rows", "1500",
+                "--at-least", "5@10:Sex=F", "--at-least", "5@10:Sex=M",
+                "--at-least", "2@10:Race=Black", "--distance", "kendall",
+                "--method", "milp", "--epsilon", "0", "--time-limit", "0.01",
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "timeout" in out
+        assert "No refinement" not in out
