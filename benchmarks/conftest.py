@@ -1,27 +1,14 @@
 """Benchmark-suite configuration.
 
-Each benchmark runs its workload exactly once (``benchmark.pedantic`` with one
-round): the measured quantity is a full refinement search, not a micro
-operation, so repetition would multiply the suite's runtime without improving
-the signal the paper's figures report.
+Each benchmark runs its workload exactly once: the measured quantity is a
+full refinement search, not a micro operation, so repetition would multiply
+the suite's runtime without improving the signal the paper's figures report.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from benchmarks.support import bench_scale
 
 
 def pytest_report_header(config):
     return f"repro benchmark scale: {bench_scale()} (set REPRO_BENCH_SCALE=paper for full size)"
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run a callable exactly once under pytest-benchmark and return its result."""
-
-    def runner(function, *args, **kwargs):
-        return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-    return runner

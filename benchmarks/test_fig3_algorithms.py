@@ -43,7 +43,7 @@ def _distances_for(dataset: str) -> list[str]:
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig3_algorithm_comparison(dataset, run_once):
+def test_fig3_algorithm_comparison(dataset):
     constraints = default_constraint_set(dataset)
     bundle = dataset_bundle(dataset)
 
@@ -64,7 +64,7 @@ def test_fig3_algorithm_comparison(dataset, run_once):
         )
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 3 – {dataset}", records)
 
     assert all(

@@ -24,7 +24,7 @@ _DISTANCES = {"reduced": ("pred", "jaccard"), "paper": ("pred", "jaccard", "kend
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig4_effect_of_kstar(dataset, run_once):
+def test_fig4_effect_of_kstar(dataset):
     bundle = dataset_bundle(dataset)
     k_values = _K_VALUES[bench_scale()]
     distances = _DISTANCES[bench_scale()]
@@ -39,7 +39,7 @@ def test_fig4_effect_of_kstar(dataset, run_once):
                 records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 4 – {dataset}", records)
 
     # Model size (a deterministic proxy for the pruning's effectiveness) must

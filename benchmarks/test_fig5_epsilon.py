@@ -24,7 +24,7 @@ _DISTANCES = {"reduced": ("pred", "jaccard"), "paper": ("pred", "jaccard", "kend
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig5_effect_of_epsilon(dataset, run_once):
+def test_fig5_effect_of_epsilon(dataset):
     bundle = dataset_bundle(dataset)
     constraints = default_constraint_set(dataset)
 
@@ -39,7 +39,7 @@ def test_fig5_effect_of_epsilon(dataset, run_once):
                 records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 5 – {dataset}", records)
 
     # At eps = 1.0 a lower-bound-only constraint set is trivially within the

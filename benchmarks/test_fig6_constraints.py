@@ -42,7 +42,7 @@ def _softened_constraints(dataset: str) -> list:
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig6_effect_of_constraint_count(dataset, run_once):
+def test_fig6_effect_of_constraint_count(dataset):
     bundle = dataset_bundle(dataset)
     constraints = _softened_constraints(dataset)
 
@@ -56,7 +56,7 @@ def test_fig6_effect_of_constraint_count(dataset, run_once):
                 records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 6 – {dataset}", records)
 
     # The model grows with the number of constraints (more l/E variables) ...

@@ -46,7 +46,7 @@ def _constraint_sets(dataset: str) -> tuple[ConstraintSet, ConstraintSet]:
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig7_constraint_types(dataset, run_once):
+def test_fig7_constraint_types(dataset):
     bundle = dataset_bundle(dataset)
     lower_only, mixed = _constraint_sets(dataset)
 
@@ -59,6 +59,6 @@ def test_fig7_constraint_types(dataset, run_once):
                 records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 7 – {dataset}", records)
     assert all(record.feasible or record.timed_out for record in records)

@@ -48,7 +48,7 @@ def _scaled_bundle(dataset: str, factor: float) -> DatasetBundle:
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_fig8_effect_of_data_size(dataset, run_once):
+def test_fig8_effect_of_data_size(dataset):
     constraints = default_constraint_set(dataset)
     factors = _FACTORS[bench_scale()]
 
@@ -65,7 +65,7 @@ def test_fig8_effect_of_data_size(dataset, run_once):
             records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 8 – {dataset}", records)
     for record in records:
         print(

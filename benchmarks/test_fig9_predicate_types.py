@@ -37,7 +37,7 @@ def _predicate_variant(dataset: str, kind: str) -> DatasetBundle:
 
 
 @pytest.mark.parametrize("dataset", ["astronauts", "law_students"])
-def test_fig9_predicate_types(dataset, run_once):
+def test_fig9_predicate_types(dataset):
     constraints = default_constraint_set(dataset)
 
     def run_all():
@@ -50,6 +50,6 @@ def test_fig9_predicate_types(dataset, run_once):
                 records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Figure 9 – {dataset}", records)
     assert all(record.feasible for record in records)

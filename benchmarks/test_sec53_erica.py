@@ -25,7 +25,7 @@ _NUM_ROWS = {"reduced": 1_500, "paper": 21_790}
 _TOP_K = {"reduced": 50, "paper": 100}
 
 
-def test_sec53_comparison_with_erica(run_once):
+def test_sec53_comparison_with_erica():
     num_rows = _NUM_ROWS[bench_scale()]
     k = _TOP_K[bench_scale()]
     database = law_students_database(num_rows=num_rows, seed=11)
@@ -41,7 +41,7 @@ def test_sec53_comparison_with_erica(run_once):
         ).solve(num_solutions=3)
         return ours, erica
 
-    ours, erica = run_once(run_all)
+    ours, erica = run_all()
 
     records = [
         RunRecord(

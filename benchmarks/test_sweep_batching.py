@@ -1,18 +1,17 @@
-"""Benchmark: batched refinement sweeps vs. per-candidate evaluation.
+"""Benchmark: the batched refinement sweep on reduced meps.
 
 ``Naive+prov`` evaluates thousands of candidate refinements over the shared
 ``~Q(D)``.  The batched-sweep engine resolves every numerical candidate
 threshold with one ``searchsorted`` call per predicate up front, caches the
 per-threshold masks across the sweep, and counts constraint deviations
-straight off the candidate's positions; the per-candidate baseline
-(``batched_sweeps=False``) reconstructs the previous engine — one scalar
-``searchsorted`` and a fresh mask per predicate per candidate, plus an eager
-per-candidate column gather.
+straight off the candidate's positions.
 
-The comparison runs on the reduced meps workload (the Figure 3 configuration
-that motivated the vectorized engine) and both records are appended to
-``benchmarks/results/latest.txt``.  The guard asserts the batched path is at
-least 2x faster, so the speedup cannot silently regress.
+The run uses the reduced meps workload (the Figure 3 configuration that
+motivated the vectorized engine) and its record is appended to
+``benchmarks/results/latest.txt``.  The guard is an absolute solve budget.
+It replaced a ratio guard (batched >= 2x faster than the per-candidate
+engine) when that engine was deleted, and is no looser: the per-candidate
+solve last recorded 0.380 s, and half of that is the budget.
 """
 
 from __future__ import annotations
@@ -23,32 +22,23 @@ from benchmarks.support import default_constraint_set, print_records, run_naive
 
 pytestmark = pytest.mark.perf_smoke
 
-#: Required solve-time ratio (per-candidate / batched) on the reduced meps
-#: workload; measured ~3x on a laptop, 2x leaves head room for noisy CI boxes.
-MINIMUM_SPEEDUP = 2.0
+#: Solve-time budget for the batched sweep on reduced meps: the last recorded
+#: per-candidate solve (0.380 s) divided by the former 2x ratio guard.
+BATCHED_SOLVE_BUDGET_SECONDS = 0.19
 
 
-def test_batched_sweeps_are_at_least_twice_as_fast_on_reduced_meps():
+def test_batched_sweep_on_reduced_meps_solves_within_budget():
     constraints = default_constraint_set("meps")
-    # Warm the dataset cache (and the interpreter) outside the timed runs.
+    # Warm the dataset cache (and the interpreter) outside the timed run.
     run_naive("meps", constraints, use_provenance=True)
 
-    # jobs=1 pins both timed runs to the serial loop so a REPRO_SOLVER_JOBS
-    # environment (the sharded CI matrix job) can't skew the ratio.
-    per_candidate = run_naive(
-        "meps", constraints, use_provenance=True, batched_sweeps=False, jobs=1
-    )
-    batched = run_naive(
-        "meps", constraints, use_provenance=True, batched_sweeps=True, jobs=1
-    )
-    print_records("sweep batching (meps, Naive+prov)", [per_candidate, batched])
+    # jobs=1 pins the timed run to the serial loop so a REPRO_SOLVER_JOBS
+    # environment (the sharded CI matrix job) can't skew the measurement.
+    batched = run_naive("meps", constraints, use_provenance=True, jobs=1)
+    print_records("sweep batching (meps, Naive+prov)", [batched])
 
-    assert batched.feasible and per_candidate.feasible
-    assert batched.distance_value == per_candidate.distance_value
-    assert batched.deviation == per_candidate.deviation
-    speedup = per_candidate.solve_seconds / max(batched.solve_seconds, 1e-9)
-    assert speedup >= MINIMUM_SPEEDUP, (
-        f"batched sweep solve {batched.solve_seconds:.3f}s is only "
-        f"{speedup:.2f}x faster than the per-candidate path "
-        f"{per_candidate.solve_seconds:.3f}s; expected >= {MINIMUM_SPEEDUP:.1f}x"
+    assert batched.feasible
+    assert batched.solve_seconds <= BATCHED_SOLVE_BUDGET_SECONDS, (
+        f"batched sweep solve took {batched.solve_seconds:.3f}s; "
+        f"budget is {BATCHED_SOLVE_BUDGET_SECONDS:.2f}s"
     )

@@ -23,7 +23,7 @@ from benchmarks.support import (
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_table6_constraints_are_solvable(dataset, run_once):
+def test_table6_constraints_are_solvable(dataset):
     constraints = table6_constraints(dataset, DEFAULT_K)
     bundle = dataset_bundle(dataset)
 
@@ -37,7 +37,7 @@ def test_table6_constraints_are_solvable(dataset, run_once):
             records.append(record)
         return records
 
-    records = run_once(run_all)
+    records = run_all()
     print_records(f"Table 6 workloads – {dataset}", records)
     feasible = sum(1 for record in records if record.feasible)
     # Mirror the paper's observation: the constraints are satisfiable in almost

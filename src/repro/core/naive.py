@@ -4,6 +4,9 @@
 on the database.  ``Naive+prov`` enumerates the same space but evaluates each
 candidate on the annotated ``~Q(D)`` instead, avoiding the DBMS round-trip —
 the same provenance trick the MILP uses, applied to brute-force search.
+It answers a candidate from precomputed per-atom masks over the column store
+of ``~Q(D)``; a candidate the masks cannot answer is evaluated by the
+executor, as ``Naive`` evaluates every candidate.
 
 Both support a wall-clock timeout, mirroring the 1-hour timeout in the paper's
 experiments (the refinement space of the Astronauts query has ~2^114 members,
@@ -15,6 +18,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as _np
 
 from repro.core import parallel
 from repro.core.constraints import ConstraintSet
@@ -28,11 +33,6 @@ from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.predicates import Operator
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
-
-try:  # pragma: no cover - gated via columnar.vectorization_enabled()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 @dataclass
@@ -343,11 +343,8 @@ class MaskIndexData:
 
     @classmethod
     def build(cls, query: SPJQuery, base: Relation) -> "MaskIndexData | None":
-        if not columnar.vectorization_enabled():
-            return None
+        """The index over ``base``; ``None`` when a view cannot represent a column."""
         store = base.column_store()
-        if store is None:
-            return None
         numeric_index: dict[str, tuple] = {}
         for predicate in query.numerical_predicates:
             values = store.numeric(predicate.attribute)
@@ -428,15 +425,6 @@ class _CandidateMaskIndex:
         #: [numeric constants key, combined numeric mask] cache.
         self._numeric_prefix: list | None = None
 
-    @classmethod
-    def build(
-        cls, query: SPJQuery, base: Relation, incremental: bool = True
-    ) -> "_CandidateMaskIndex | None":
-        data = MaskIndexData.build(query, base)
-        if data is None:
-            return None
-        return cls(data, incremental)
-
     def prepare_sweep(self, query: SPJQuery, space) -> None:
         """Batch-resolve every candidate threshold of a refinement sweep.
 
@@ -500,7 +488,7 @@ class _CandidateMaskIndex:
         high = _np.searchsorted(sorted_values, thresholds, side="right")
         return [(int(lo), int(hi)) for lo, hi in zip(low, high)]
 
-    def _numeric_part(self, predicate, constant, batched: bool):
+    def _numeric_part(self, predicate, constant):
         """Boolean mask of one numerical predicate (cached per sweep threshold).
 
         ``constant`` is the refined threshold (it may differ from
@@ -508,17 +496,16 @@ class _CandidateMaskIndex:
         the original query's predicates).
         """
         key = (predicate.attribute, predicate.operator)
-        if batched:
-            cached = self._parts.get(key)
-            if cached is not None:
-                part = cached.get(constant)
-                if part is not None:
-                    return part
+        cached = self._parts.get(key)
+        if cached is not None:
+            part = cached.get(constant)
+            if part is not None:
+                return part
         entry = self._numeric.get(predicate.attribute)
         if entry is None:
             return None
         order, sorted_values = entry
-        window = self._windows.get(key, {}).get(constant) if batched else None
+        window = self._windows.get(key, {}).get(constant)
         if window is None:
             window = self._batched_windows(
                 sorted_values, _np.asarray([constant], dtype=float), predicate.operator
@@ -526,14 +513,13 @@ class _CandidateMaskIndex:
         start, stop = window
         part = _np.zeros(self._length, dtype=bool)
         part[order[start:stop]] = True
-        if batched:
-            if self._keep_all_parts:
-                self._parts.setdefault(key, {})[constant] = part
-            else:
-                self._parts[key] = {constant: part}
+        if self._keep_all_parts:
+            self._parts.setdefault(key, {})[constant] = part
+        else:
+            self._parts[key] = {constant: part}
         return part
 
-    def _categorical_part(self, attribute: str, values, batched: bool):
+    def _categorical_part(self, attribute: str, values):
         """Boolean mask of one categorical predicate.
 
         On the incremental path the previous candidate's mask is cached per
@@ -552,7 +538,7 @@ class _CandidateMaskIndex:
             subset = frozenset(value for value in values if value in masks)
         if not subset:
             return None
-        if batched and self._incremental:
+        if self._incremental:
             cached = self._chain.get(attribute)
             if cached is not None:
                 last, buffer = cached
@@ -567,7 +553,7 @@ class _CandidateMaskIndex:
             part = selected[0]
         else:
             part = _np.logical_or.reduce(selected)
-        if batched and self._incremental:
+        if self._incremental:
             # Seed the chain cache with a private buffer (per-value masks are
             # shared and must never be XORed in place).
             buffer = part.copy() if len(selected) == 1 else part
@@ -575,7 +561,7 @@ class _CandidateMaskIndex:
             return buffer
         return part
 
-    def _numeric_conjunction(self, constants: tuple, predicates, batched: bool):
+    def _numeric_conjunction(self, constants: tuple, predicates):
         """AND of all numerical part masks (``False`` -> caller fallback).
 
         On the incremental path the combined mask is cached under the tuple
@@ -587,14 +573,14 @@ class _CandidateMaskIndex:
         if not predicates:
             return None
         key = None
-        if batched and self._incremental:
+        if self._incremental:
             key = constants
             cached = self._numeric_prefix
             if cached is not None and cached[0] == key:
                 return cached[1]
         parts = []
         for predicate, constant in zip(predicates, constants):
-            part = self._numeric_part(predicate, constant, batched)
+            part = self._numeric_part(predicate, constant)
             if part is None:
                 return False
             parts.append(part)
@@ -617,19 +603,17 @@ class _CandidateMaskIndex:
             positions = positions[_np.sort(first)]
         return positions
 
-    def selected_positions(self, refined_query: SPJQuery, batched: bool = True):
+    def selected_positions(self, refined_query: SPJQuery):
         """Rank-ordered positions of ``~Q(D)`` selected by the refined query."""
         predicates = refined_query.numerical_predicates
         numeric = self._numeric_conjunction(
-            tuple(predicate.constant for predicate in predicates),
-            predicates,
-            batched,
+            tuple(predicate.constant for predicate in predicates), predicates
         )
         if numeric is False:
             return None
         categorical_parts = []
         for predicate in refined_query.categorical_predicates:
-            part = self._categorical_part(predicate.attribute, predicate.values, batched)
+            part = self._categorical_part(predicate.attribute, predicate.values)
             if part is False:
                 return None
             if part is None:
@@ -651,14 +635,14 @@ class _CandidateMaskIndex:
             numerical.get((predicate.attribute, predicate.operator), predicate.constant)
             for predicate in predicates
         )
-        numeric = self._numeric_conjunction(constants, predicates, True)
+        numeric = self._numeric_conjunction(constants, predicates)
         if numeric is False:
             return None
         categorical = refinement.categorical
         categorical_parts = []
         for predicate in query.categorical_predicates:
             values = categorical.get(predicate.attribute, predicate.values)
-            part = self._categorical_part(predicate.attribute, values, True)
+            part = self._categorical_part(predicate.attribute, values)
             if part is False:
                 return None
             if part is None:
@@ -670,15 +654,13 @@ class _CandidateMaskIndex:
 class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     """The paper's ``Naive+prov``: candidates are evaluated on the annotations.
 
-    ``batched_sweeps`` (default on) resolves every numerical candidate
-    threshold up front with one batched ``searchsorted`` per predicate and
-    reuses per-predicate masks across the sweep; turning it off restores the
-    per-candidate evaluation of the plain columnar engine, which the
-    sweep-batching benchmark uses as its baseline.  ``incremental_categorical``
-    (default on) additionally evaluates categorical subset chains by XOR-ing
-    only the toggled values over the previous candidate's cached mask;
-    turning it off restores the per-candidate OR-reduce, which the
-    incremental-categorical benchmark uses as its baseline.
+    Every numerical candidate threshold is resolved up front with one batched
+    ``searchsorted`` per predicate, and per-predicate masks are reused across
+    the sweep.  ``incremental_categorical`` (default on) additionally
+    evaluates categorical subset chains by XOR-ing only the toggled values
+    over the previous candidate's cached mask; turning it off restores the
+    per-candidate OR-reduce, which the incremental-categorical benchmark uses
+    as its baseline.
     """
 
     method = "naive+prov"
@@ -686,30 +668,24 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
     def __init__(
         self,
         *args,
-        batched_sweeps: bool = True,
         incremental_categorical: bool = True,
         mask_data: MaskIndexData | None = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        self._batched = bool(batched_sweeps)
         self._incremental = bool(incremental_categorical)
         self._mask_data = mask_data
-        self._annotated: AnnotatedDatabase | None = None
-        self._schema = None
         self._base: Relation | None = None
         self._fast: _CandidateMaskIndex | None = None
         self._group_masks: dict | None = None
         self._positions = None
 
     def _prepare(self, annotated: AnnotatedDatabase) -> None:
-        self._annotated = annotated
         # The rank-ordered ~Q(D) is needed to materialise candidate outputs;
         # compute it once here (the executor caches the join and sort) and
         # derive the per-atom mask index from its columns.
         unfiltered = self._executor.evaluate_unfiltered(self.query)
         self._base = unfiltered.relation
-        self._schema = unfiltered.relation.schema
         # The per-sweep caches stay private to this search; only the
         # immutable MaskIndexData half is shareable (and a warm session
         # passes its cached copy in).
@@ -719,18 +695,17 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         self._fast = (
             None if data is None else _CandidateMaskIndex(data, self._incremental)
         )
-        if self._fast is not None and self._batched and self._space is not None:
+        if self._fast is not None and self._space is not None:
             self._fast.prepare_sweep(self.query, self._space)
         store = self._base.column_store()
-        if store is not None:
-            # Warm the factorizations the per-candidate deviation counts
-            # read, so lazily-gathered top-k slices inherit them instead of
-            # re-factorizing per candidate.
-            for constraint in self.constraints:
-                for attribute in constraint.group.attributes:
-                    if attribute in self._base.schema:
-                        store.codes(attribute)
-            self._group_masks = self._build_group_masks(store)
+        # Warm the factorizations the per-candidate deviation counts read, so
+        # lazily-gathered top-k slices inherit them instead of re-factorizing
+        # per candidate.
+        for constraint in self.constraints:
+            for attribute in constraint.group.attributes:
+                if attribute in self._base.schema:
+                    store.codes(attribute)
+        self._group_masks = self._build_group_masks(store)
 
     def _build_group_masks(self, store) -> dict | None:
         """One boolean membership mask over ``~Q(D)`` per constraint group.
@@ -791,7 +766,6 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         """
         if (
             self._fast is None
-            or not self._batched
             or self._group_masks is None
             or not isinstance(self.distance, PredicateDistance)
         ):
@@ -813,23 +787,16 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
         A tuple is selected when every predicate of the refined query accepts
         its value; DISTINCT de-duplication keeps the better-ranked tuple.  The
         tuples of ``~Q(D)`` are already in rank order, so the selected tuples
-        are too.  The columnar fast path composes precomputed per-atom masks;
-        the row-based reference below remains for parity testing and as the
-        NumPy-free fallback.
+        are too.  The precomputed per-atom masks answer the candidate; one
+        they cannot answer (a column no view represents) is evaluated by the
+        executor, as ``Naive`` does.
         """
         self._positions = None
         if self._fast is not None:
-            positions = self._fast.selected_positions(refined_query, self._batched)
+            positions = self._fast.selected_positions(refined_query)
             if positions is not None:
-                if self._batched:
-                    self._positions = positions
+                self._positions = positions
                 relation = self._base.take(positions).rename(refined_query.name)
-                if not self._batched:
-                    # Reconstruct the pre-batching cost model: the old engine
-                    # gathered every column and cached view per candidate.
-                    store = relation.column_store()
-                    if store is not None:
-                        store.materialize()
                 projected = (
                     relation.project(list(refined_query.select))
                     if refined_query.select
@@ -838,42 +805,7 @@ class NaiveProvenanceSearch(_BaseExhaustiveSearch):
                 return RankedResult(
                     query=refined_query, relation=relation, projected=projected
                 )
-        return self._evaluate_rowwise(refinement, refined_query)
-
-    def _evaluate_rowwise(
-        self, refinement: Refinement, refined_query: SPJQuery
-    ) -> RankedResult:
-        """Row-at-a-time reference evaluation over the annotated tuples."""
-        assert self._annotated is not None
-        numerical = list(refined_query.numerical_predicates)
-        categorical = list(refined_query.categorical_predicates)
-
-        selected_rows = []
-        seen_distinct: set[tuple[object, ...]] = set()
-        for annotated_tuple in self._annotated.tuples:
-            values = annotated_tuple.values
-            if not all(predicate.matches(values) for predicate in numerical):
-                continue
-            if not all(predicate.matches(values) for predicate in categorical):
-                continue
-            if annotated_tuple.distinct_key is not None:
-                if annotated_tuple.distinct_key in seen_distinct:
-                    continue
-                seen_distinct.add(annotated_tuple.distinct_key)
-            selected_rows.append(values)
-
-        schema = self._schema
-        relation = Relation(
-            refined_query.name,
-            schema,
-            [tuple(values[name] for name in schema.names) for values in selected_rows],
-        )
-        projected = (
-            relation.project(list(refined_query.select))
-            if refined_query.select
-            else relation
-        )
-        return RankedResult(query=refined_query, relation=relation, projected=projected)
+        return self._executor.evaluate(refined_query)
 
 
 __all__ = ["MaskIndexData", "NaiveProvenanceSearch", "NaiveResult", "NaiveSearch"]

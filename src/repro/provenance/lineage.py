@@ -7,16 +7,13 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as _np
+
 from repro.exceptions import QueryError
 from repro.relational.database import Database
 from repro.relational.executor import QueryExecutor, RankedResult
 from repro.relational.predicates import Operator
 from repro.relational.query import SPJQuery
-
-try:  # pragma: no cover - optional, used only when a column store exists
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class _RowValues(Mapping):
@@ -26,7 +23,7 @@ class _RowValues(Mapping):
     name → position index and keeps only its row tuple, instead of
     materialising one dict per tuple — at paper scale (34k+ rows) that is the
     difference between one index and tens of thousands of dicts.  The MILP
-    builder and the row-based baselines read it exactly like the dict it
+    builder and the group-membership tests read it exactly like the dict it
     replaces (``[]``, ``.get``, ``.values()`` in schema order).
     """
 
@@ -381,7 +378,7 @@ def annotate_result(
             values = sorted(
                 {float(combo[offset]) for combo in scan if combo[offset] is not None}
             )
-        if values is None and store is not None:
+        if values is None:
             view = store.numeric(predicate.attribute)
             if view is not None:
                 values = _np.unique(view[~_np.isnan(view)]).tolist()

@@ -21,18 +21,17 @@ compose their coordinates so every store points straight at its eager root.
 This is what makes the exhaustive baselines cheap — a candidate refinement's
 result is a coordinate set over the shared ``~Q(D)`` store, and only the
 handful of columns its constraint counts actually touch are ever gathered.
-:meth:`ColumnStore.materialize` forces the old eager semantics (used by the
-benchmark suite to reconstruct the pre-batching cost model).
 
-The module degrades gracefully: when NumPy is unavailable — or vectorization
-is explicitly disabled via :func:`rowwise_fallback` — callers receive ``None``
-from :func:`store_for` and fall back to the original row-at-a-time code paths.
+A view that cannot represent a column's values (a non-numeric value in the
+float view, an unhashable one in the code view) reads as ``None``, and the
+operator that asked for it answers with its row-at-a-time form instead.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as _np
 
 from repro.relational.predicates import (
     CategoricalPredicate,
@@ -41,40 +40,6 @@ from repro.relational.predicates import (
     Operator,
 )
 from repro.relational.schema import Schema
-
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-
-_VECTORIZATION_ENABLED = True
-
-
-def numpy_available() -> bool:
-    """Whether NumPy could be imported at all."""
-    return _np is not None
-
-
-def vectorization_enabled() -> bool:
-    """Whether the columnar fast paths should be used."""
-    return _VECTORIZATION_ENABLED and _np is not None
-
-
-@contextmanager
-def rowwise_fallback() -> Iterator[None]:
-    """Temporarily force every relational operator onto the row-based path.
-
-    Used by the parity test suite to compare the vectorized engine against the
-    reference implementation on identical inputs.
-    """
-    global _VECTORIZATION_ENABLED
-    previous = _VECTORIZATION_ENABLED
-    _VECTORIZATION_ENABLED = False
-    try:
-        yield
-    finally:
-        _VECTORIZATION_ENABLED = previous
 
 
 def _compose_coordinates(base, indices, parent_length: int):
@@ -152,24 +117,6 @@ class ColumnStore:
         if not self._arrays:
             return [() for _ in range(self.length)]
         return list(zip(*(self.array(name).tolist() for name in self.schema.names)))
-
-    def materialize(self) -> "ColumnStore":
-        """Force every column gather and parent-view propagation.
-
-        Restores the eager semantics derived stores had before gathering
-        became lazy; the sweep-batching benchmark uses it to reconstruct the
-        per-candidate cost of the old engine.
-        """
-        for name in self.schema.names:
-            self.array(name)
-        if self._source is not None:
-            parent, _ = self._source
-            for name in self.schema.names:
-                if name in parent._numeric:
-                    self.numeric(name)
-                if name in parent._codes:
-                    self.codes(name)
-        return self
 
     # -- derived views ---------------------------------------------------------
 
@@ -425,10 +372,4 @@ def combined_codes(store: ColumnStore, names: Sequence[str]):
     return combined
 
 
-__all__ = [
-    "ColumnStore",
-    "combined_codes",
-    "numpy_available",
-    "rowwise_fallback",
-    "vectorization_enabled",
-]
+__all__ = ["ColumnStore", "combined_codes"]

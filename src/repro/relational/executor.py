@@ -3,9 +3,8 @@
 Two execution backends sit behind :class:`QueryExecutor`:
 
 ``memory`` (default)
-    The in-memory engine — columnar/vectorized when NumPy is available,
-    row-at-a-time otherwise — with per-query-shape join and ordered-join
-    caches.
+    The in-memory columnar engine, with per-query-shape join and
+    ordered-join caches.
 
 ``sqlite``
     Selection, ordering and DISTINCT pushed down into sqlite
@@ -32,6 +31,8 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.analysis.debug_locks import guard_mapping, plain_copy
 from repro.exceptions import QueryError
 from repro.relational.columnar import ColumnStore
@@ -39,11 +40,6 @@ from repro.relational.database import Database
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-
-try:  # pragma: no cover - optional, gated via Relation.column_store()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Supported execution backends, in documentation order.
 EXECUTOR_BACKENDS = ("memory", "sqlite")
@@ -190,8 +186,7 @@ class QueryExecutor:
 
     On the ``sqlite`` backend the join, selection, ordering and DISTINCT all
     run inside sqlite over indexed base tables; the executor only gathers the
-    returned row coordinates into a (columnar, when NumPy is available)
-    result relation.
+    returned row coordinates into a columnar result relation.
     """
 
     def __init__(
@@ -295,9 +290,8 @@ class QueryExecutor:
             # before deriving the selection, so it inherits sliced views
             # instead of re-running the per-row factorization per candidate.
             parent_store = ordered_join.column_store()
-            if parent_store is not None:
-                for name in query.select:
-                    parent_store.codes(name)
+            for name in query.select:
+                parent_store.codes(name)
         selected = ordered_join.select(query.where)
         if query.distinct and query.select:
             selected = self._deduplicate(selected, query.select)
@@ -369,8 +363,8 @@ class QueryExecutor:
         """Assemble the full-width result from per-table row coordinates.
 
         Values are taken from the original relations (the same Python
-        objects the in-memory engines return), one fancy-indexed gather per
-        output column on the columnar path.
+        objects the in-memory engine returns), one fancy-indexed gather per
+        output column.
         """
         tables = query.tables
         name = "*".join(tables)
@@ -382,31 +376,15 @@ class QueryExecutor:
         count = len(coordinates)
 
         stores = [relation.column_store() for relation in relations]
-        if all(store is not None for store in stores):
-            rid_arrays = [
-                _np.fromiter(
-                    (row[i] for row in coordinates), dtype=_np.int64, count=count
-                )
-                for i in range(len(tables))
-            ]
-            arrays = [
-                stores[source[attribute]].array(attribute)[rid_arrays[source[attribute]]]
-                for attribute in joined_schema.names
-            ]
-            return Relation.from_store(
-                name, ColumnStore(joined_schema, arrays, count)
-            )
-
-        table_rows = [relation.rows for relation in relations]
-        specs = [
-            (source[attribute], relations[source[attribute]].schema.index_of(attribute))
+        rid_arrays = [
+            _np.fromiter((row[i] for row in coordinates), dtype=_np.int64, count=count)
+            for i in range(len(tables))
+        ]
+        arrays = [
+            stores[source[attribute]].array(attribute)[rid_arrays[source[attribute]]]
             for attribute in joined_schema.names
         ]
-        rows = [
-            tuple(table_rows[table][row[table]][column] for table, column in specs)
-            for row in coordinates
-        ]
-        return Relation(name, joined_schema, rows)
+        return Relation.from_store(name, ColumnStore(joined_schema, arrays, count))
 
     # -- helpers -------------------------------------------------------------------
 
@@ -443,11 +421,9 @@ class QueryExecutor:
     @staticmethod
     def _deduplicate(ordered: Relation, select: Sequence[str]) -> Relation:
         """Keep only the best-ranked row for each combination of DISTINCT values."""
-        store = ordered.column_store()
-        if store is not None:
-            first = store.first_occurrence(list(select))
-            if first is not None:
-                return ordered.take(first)
+        first = ordered.column_store().first_occurrence(list(select))
+        if first is not None:
+            return ordered.take(first)
         indices = [ordered.schema.index_of(name) for name in select]
         seen: set[tuple[object, ...]] = set()
         kept = []

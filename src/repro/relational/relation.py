@@ -3,40 +3,39 @@
 Relations have a dual representation.  They can be constructed from row
 tuples (the original API, used by the dataset generators and tests) or from a
 :class:`~repro.relational.columnar.ColumnStore`; either side is materialised
-lazily from the other.  When NumPy is available every relational operator
-runs on the columnar representation — selection as boolean masks, ordering as
-a stable ``argsort``, joins as hash joins over key-column views with
-fancy-indexed gathers, derived-column/concat/callable operators over column
-iterators — and falls back to the original row-at-a-time implementation
-otherwise (or under :func:`repro.relational.columnar.rowwise_fallback`).
+lazily from the other.  Every relational operator runs on the columnar
+representation — selection as boolean masks, ordering as a stable
+``argsort``, joins as hash joins over key-column views with fancy-indexed
+gathers, derived-column/concat/callable operators over column iterators.
+Where a column view cannot answer an operator (ordering by a non-numerical
+attribute, DISTINCT keys that cannot be factorized, callable or
+mask-incompatible selections, group counts over attributes outside the
+schema), that operator evaluates row by row.
 
 Dual-representation invariants:
 
 * At least one of ``_rows`` / ``_store`` is always populated; whichever side
   is missing is derived on first use and cached (``_materialized()`` /
-  ``_columns()``).  Conversion never loses information — object-dtype columns
+  ``column_store()``).  Conversion never loses information — object-dtype columns
   round-trip the same Python objects.
 * Both representations are immutable once attached: operators return new
   relations, and the row order is the single source of ranking truth in both.
-* Every operator must produce identical rows, row order, and value *types* on
-  either representation; ``tests/relational/test_columnar_parity.py`` holds
-  the engines to byte-identical output on every registered dataset.
+* Operators keep the value *types* they read: results hold the same Python
+  objects as their inputs.  ``tests/relational/test_columnar_parity.py``
+  holds this engine byte-identical to the sqlite pushdown backend on every
+  registered dataset and on randomized instances.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as _np
+
 from repro.exceptions import SchemaError
-from repro.relational import columnar
 from repro.relational.columnar import ColumnStore
 from repro.relational.predicates import Conjunction
 from repro.relational.schema import Attribute, AttributeKind, Schema
-
-try:  # pragma: no cover - optional, gated via columnar.vectorization_enabled()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 def _domain_sort_key(value: object) -> tuple:
@@ -111,17 +110,11 @@ class Relation:
             self._rows = self._store.to_rows()
         return self._rows
 
-    def _columns(self) -> ColumnStore | None:
-        """The column store when the vectorized engine should be used."""
-        if not columnar.vectorization_enabled():
-            return None
+    def column_store(self) -> ColumnStore:
+        """The columnar representation, built from the rows on first use."""
         if self._store is None:
             self._store = ColumnStore.from_rows(self.schema, self._rows)
         return self._store
-
-    def column_store(self) -> ColumnStore | None:
-        """Public accessor for the columnar representation (or ``None``)."""
-        return self._columns()
 
     # -- basic accessors --------------------------------------------------------
 
@@ -198,95 +191,58 @@ class Relation:
                 # unfiltered ~Q evaluations can share this one instead of
                 # gathering a full copy.
                 return self
-            store = self._columns()
-            if store is not None:
-                mask = store.mask(condition)
-                if mask is not None:
-                    return Relation.from_store(
-                        self.name, store.take(_np.flatnonzero(mask))
-                    )
+            mask = self.column_store().mask(condition)
+            if mask is not None:
+                return self.take(_np.flatnonzero(mask))
             predicate = condition.matches
         else:
             predicate = condition
-        store = self._columns()
-        if store is not None:
-            # Callable (or mask-incompatible) conditions still evaluate row by
-            # row, but the result stays columnar: a coordinate take over the
-            # shared store instead of a fresh row relation.
-            kept = [
-                position
-                for position, values in enumerate(self.iter_dicts())
-                if predicate(values)
-            ]
-            return Relation.from_store(
-                self.name, store.take(_np.asarray(kept, dtype=_np.int64))
-            )
-        names = self.schema.names
+        # Callable (or mask-incompatible) conditions still evaluate row by
+        # row, but the result stays columnar: a coordinate take over the
+        # shared store instead of a fresh row relation.
         kept = [
-            row
-            for row in self._materialized()
-            if predicate(dict(zip(names, row)))
+            position
+            for position, values in enumerate(self.iter_dicts())
+            if predicate(values)
         ]
-        return Relation(self.name, self.schema, kept)
+        return self.take(_np.asarray(kept, dtype=_np.int64))
 
     def take(self, positions) -> "Relation":
         """Rows at the given positions, in the given order."""
-        store = self._columns()
-        if store is not None:
-            return Relation.from_store(self.name, store.take(positions))
-        rows = self._materialized()
-        return Relation(self.name, self.schema, [rows[p] for p in positions])
+        return Relation.from_store(self.name, self.column_store().take(positions))
 
     def project(self, attributes: Sequence[str], distinct: bool = False) -> "Relation":
         """Project onto ``attributes``; optionally de-duplicate keeping first."""
-        store = self._columns()
-        if store is not None:
-            projected = store.project(attributes)
-            if distinct:
-                first = projected.first_occurrence(attributes)
-                if first is None:
-                    return self._project_rows(attributes, distinct)
-                projected = projected.take(first)
-            return Relation.from_store(self.name, projected)
-        return self._project_rows(attributes, distinct)
-
-    def _project_rows(self, attributes: Sequence[str], distinct: bool) -> "Relation":
-        indices = [self.schema.index_of(attribute) for attribute in attributes]
-        projected_schema = self.schema.project(attributes)
-        rows = [tuple(row[i] for i in indices) for row in self._materialized()]
+        projected = self.column_store().project(attributes)
         if distinct:
-            seen: set[tuple[object, ...]] = set()
-            unique: list[tuple[object, ...]] = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
-        return Relation(self.name, projected_schema, rows)
+            first = projected.first_occurrence(attributes)
+            if first is None:
+                return self._project_distinct_rows(attributes)
+            projected = projected.take(first)
+        return Relation.from_store(self.name, projected)
+
+    def _project_distinct_rows(self, attributes: Sequence[str]) -> "Relation":
+        """DISTINCT projection for key values the code view cannot factorize."""
+        indices = [self.schema.index_of(attribute) for attribute in attributes]
+        seen: set[tuple[object, ...]] = set()
+        unique: list[tuple[object, ...]] = []
+        for row in self._materialized():
+            key = tuple(row[i] for i in indices)
+            if key not in seen:
+                seen.add(key)
+                unique.append(key)
+        return Relation(self.name, self.schema.project(attributes), unique)
 
     def natural_join(self, other: "Relation") -> "Relation":
         """Natural join on all shared attribute names (hash join).
 
-        On the columnar path the hash table is keyed on views of the shared
-        key columns and the output is gathered with fancy indexing, so full
-        result rows are never materialised as tuples.
+        The hash table is keyed on views of the shared key columns and the
+        output is gathered with fancy indexing, so full result rows are never
+        materialised as tuples.
         """
         joined_schema = self.schema.join(other.schema)
-        left_store = self._columns()
-        right_store = other._columns() if left_store is not None else None
-        if left_store is not None and right_store is not None:
-            return self._natural_join_columnar(
-                other, joined_schema, left_store, right_store
-            )
-        return self._natural_join_rows(other, joined_schema)
-
-    def _natural_join_columnar(
-        self,
-        other: "Relation",
-        joined_schema: Schema,
-        left_store: ColumnStore,
-        right_store: ColumnStore,
-    ) -> "Relation":
+        left_store = self.column_store()
+        right_store = other.column_store()
         shared = self.schema.common_attributes(other.schema)
         right_extra = [
             attribute.name
@@ -320,52 +276,19 @@ class Relation:
         store = ColumnStore(joined_schema, arrays, int(left_idx.shape[0]))
         return Relation.from_store(f"{self.name}*{other.name}", store)
 
-    def _natural_join_rows(self, other: "Relation", joined_schema: Schema) -> "Relation":
-        shared = self.schema.common_attributes(other.schema)
-        left_rows = self._materialized()
-        right_rows = other._materialized()
-        if not shared:
-            rows = [left + right for left in left_rows for right in right_rows]
-            return Relation(f"{self.name}*{other.name}", joined_schema, rows)
-
-        left_key = [self.schema.index_of(name) for name in shared]
-        right_key = [other.schema.index_of(name) for name in shared]
-        right_extra = [
-            other.schema.index_of(attribute.name)
-            for attribute in other.schema
-            if attribute.name not in self.schema
-        ]
-
-        buckets: dict[tuple[object, ...], list[tuple[object, ...]]] = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in right_key)
-            buckets.setdefault(key, []).append(row)
-
-        rows = []
-        for row in left_rows:
-            key = tuple(row[i] for i in left_key)
-            for match in buckets.get(key, ()):
-                rows.append(row + tuple(match[i] for i in right_extra))
-        return Relation(f"{self.name}*{other.name}", joined_schema, rows)
-
     def order_by(self, attribute: str, descending: bool = True) -> "Relation":
         """Stable sort by ``attribute`` (ties keep their current order).
 
         ``None`` values sort last in both directions, preserving their
         relative order, instead of raising ``TypeError``.
         """
-        store = self._columns()
-        # The float view would sort float-parseable *strings* numerically,
-        # diverging from the row path's lexicographic order — so the columnar
-        # sort is only used for attributes declared numerical.
-        if (
-            store is not None
-            and attribute in self.schema
-            and self.schema.attribute(attribute).is_numerical
-        ):
-            order = store.argsort_by(attribute, descending)
+        # The float view would sort float-parseable *strings* numerically
+        # instead of lexicographically — so the columnar sort is only used
+        # for attributes declared numerical.
+        if attribute in self.schema and self.schema.attribute(attribute).is_numerical:
+            order = self.column_store().argsort_by(attribute, descending)
             if order is not None:
-                return Relation.from_store(self.name, store.take(order))
+                return self.take(order)
         index = self.schema.index_of(attribute)
         rows = self._materialized()
         non_null = [row for row in rows if row[index] is not None]
@@ -375,21 +298,14 @@ class Relation:
 
     def head(self, k: int) -> "Relation":
         """The first ``k`` rows (the top-k of a ranked relation)."""
-        store = self._columns()
-        if store is not None:
-            return Relation.from_store(self.name, store.head(k))
-        return Relation(self.name, self.schema, self._materialized()[:k])
+        return Relation.from_store(self.name, self.column_store().head(k))
 
     def concat(self, other: "Relation") -> "Relation":
         """Append the rows of ``other`` (schemas must match)."""
         if self.schema != other.schema:
             raise SchemaError("cannot concatenate relations with different schemas")
-        left = self._columns()
-        right = other._columns() if left is not None else None
-        if left is not None and right is not None:
-            return Relation.from_store(self.name, left.concatenated(right))
-        return Relation(
-            self.name, self.schema, self._materialized() + other._materialized()
+        return Relation.from_store(
+            self.name, self.column_store().concatenated(other.column_store())
         )
 
     def rename(self, name: str) -> "Relation":
@@ -405,18 +321,11 @@ class Relation:
         """Add a derived column computed from each row (e.g. MEPS utilization)."""
         if attribute.name in self.schema:
             raise SchemaError(f"attribute {attribute.name!r} already exists")
-        names = self.schema.names
         new_schema = Schema(list(self.schema.attributes) + [attribute])
-        store = self._columns()
-        if store is not None:
-            computed = [compute(values) for values in self.iter_dicts()]
-            return Relation.from_store(
-                self.name, store.with_column(new_schema, computed)
-            )
-        rows = [
-            row + (compute(dict(zip(names, row))),) for row in self._materialized()
-        ]
-        return Relation(self.name, new_schema, rows)
+        computed = [compute(values) for values in self.iter_dicts()]
+        return Relation.from_store(
+            self.name, self.column_store().with_column(new_schema, computed)
+        )
 
     # -- statistics ----------------------------------------------------------------
 
@@ -430,11 +339,8 @@ class Relation:
         This is the vectorized membership count behind cardinality-constraint
         evaluation; missing attributes read as ``None`` (row semantics).
         """
-        store = self._columns()
-        if store is not None and all(
-            attribute in self.schema for attribute in conditions
-        ):
-            fast = store.count_conditions(conditions)
+        if all(attribute in self.schema for attribute in conditions):
+            fast = self.column_store().count_conditions(conditions)
             if fast is not None:
                 return fast
         return self.count_where(

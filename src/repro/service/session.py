@@ -123,8 +123,8 @@ class DatasetSession:
     def mask_data(self) -> MaskIndexData | None:
         """Shared (immutable) candidate-mask arrays for the exhaustive engines.
 
-        ``None`` when the columnar fast path is unavailable (no NumPy); the
-        searches then fall back to their own row-wise evaluation.
+        ``None`` when a column view cannot represent a predicate or DISTINCT
+        column; the searches then evaluate candidates through the executor.
         """
         with self._lock:
             if not self._mask_data_built:

@@ -22,7 +22,6 @@ from repro.relational import (
     Schema,
     SPJQuery,
 )
-from repro.relational.columnar import numpy_available, rowwise_fallback
 from repro.relational.schema import categorical, numerical
 
 
@@ -138,14 +137,11 @@ class TestNullOrdering:
         ordered = nullable_scores.order_by("score", descending=False)
         assert [row[0] for row in ordered] == ["a", "e", "c", "b", "d"]
 
-    def test_rowwise_fallback_agrees_on_null_ordering(self, nullable_scores):
-        fast = [row[0] for row in nullable_scores.order_by("score")]
-        with rowwise_fallback():
-            relation = Relation(
-                nullable_scores.name, nullable_scores.schema, nullable_scores.rows
-            )
-            slow = [row[0] for row in relation.order_by("score")]
-        assert fast == slow
+    def test_store_backed_relation_puts_nulls_last(self, nullable_scores):
+        relation = Relation.from_store("r", nullable_scores.column_store())
+        assert [row[0] for row in relation.order_by("score")] == [
+            "c", "e", "a", "b", "d"
+        ]
 
     def test_ranked_result_scores_zeroes_nulls(self, nullable_scores):
         database = Database([nullable_scores])
@@ -163,28 +159,19 @@ class TestNullOrdering:
 
 
 class TestOrderingParityAndSelectIdentity:
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
-    def test_float_parseable_strings_sort_lexicographically_on_both_engines(self):
+    def test_float_parseable_strings_sort_lexicographically(self):
         schema = Schema([categorical("id")])
-        rows = [("1",), ("10",), ("2",)]
-        fast = [row[0] for row in Relation("r", schema, rows).order_by("id", descending=False)]
-        with rowwise_fallback():
-            slow = [row[0] for row in Relation("r", schema, rows).order_by("id", descending=False)]
-        assert fast == slow == ["1", "10", "2"]
+        rows = [("10",), ("2",), ("1",)]
+        ordered = Relation("r", schema, rows).order_by("id", descending=False)
+        assert [row[0] for row in ordered] == ["1", "10", "2"]
 
     def test_empty_conjunction_select_returns_the_relation_itself(self, nullable_scores):
         assert nullable_scores.select(Conjunction()) is nullable_scores
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
     def test_zero_column_projection_preserves_row_count(self, nullable_scores):
-        fast = nullable_scores.project([]).head(2)
-        with rowwise_fallback():
-            relation = Relation(
-                nullable_scores.name, nullable_scores.schema, nullable_scores.rows
-            )
-            slow = relation.project([]).head(2)
-        assert len(fast) == len(slow) == 2
-        assert fast.rows == slow.rows == [(), ()]
+        projected = nullable_scores.project([]).head(2)
+        assert len(projected) == 2
+        assert projected.rows == [(), ()]
 
 
 class TestNullsThroughTheNaiveBaselines:
@@ -218,7 +205,7 @@ class TestNullsThroughTheNaiveBaselines:
         scores = {t.values["id"]: t.score for t in annotated.tuples}
         assert scores["c"] == 0.0
 
-    def test_naive_searches_run_end_to_end_on_both_engines(self):
+    def test_naive_and_naive_prov_agree_end_to_end(self):
         from repro.core import ConstraintSet, NaiveProvenanceSearch, NaiveSearch, at_least
 
         constraints = ConstraintSet([at_least(1, 3, grp="F")])
@@ -226,13 +213,12 @@ class TestNullsThroughTheNaiveBaselines:
         def run(cls):
             return cls(self._database(), self._query(), constraints, epsilon=0.5).search()
 
-        for cls in (NaiveSearch, NaiveProvenanceSearch):
-            fast = run(cls)
-            with rowwise_fallback():
-                slow = run(cls)
-            assert fast.feasible and slow.feasible
-            assert fast.refinement == slow.refinement
-            assert fast.distance_value == slow.distance_value
+        naive = run(NaiveSearch)
+        provenance = run(NaiveProvenanceSearch)
+        assert naive.feasible and provenance.feasible
+        assert naive.refinement == provenance.refinement
+        assert naive.distance_value == provenance.distance_value
+        assert naive.deviation == provenance.deviation
 
 
 class TestMixedNumericDomain:
@@ -246,11 +232,8 @@ class TestMixedNumericDomain:
         relation = Relation("r", schema, [("b",), ("a",), ("b",)])
         assert relation.domain("x") == ["a", "b"]
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy for parity")
-    def test_domain_is_engine_independent(self):
+    def test_domain_of_store_backed_relation_orders_numerically(self):
         schema = Schema([numerical("x")])
         rows = [(3,), (1.25,), (2,), (1,), (2.5,)]
-        fast = Relation("r", schema, rows).domain("x")
-        with rowwise_fallback():
-            slow = Relation("r", schema, rows).domain("x")
-        assert fast == slow == [1, 1.25, 2, 2.5, 3]
+        relation = Relation.from_store("r", Relation("r", schema, rows).column_store())
+        assert relation.domain("x") == [1, 1.25, 2, 2.5, 3]

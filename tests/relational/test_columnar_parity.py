@@ -1,24 +1,37 @@
 """Parity suite: every execution engine must agree byte-for-byte.
 
-Three engines answer the same SPJ queries — the row-based reference path,
-the vectorized columnar engine, and the sqlite pushdown backend — and this
-suite holds all of them to byte-identical :class:`RankedResult`\\ s (rows,
-order, projection, distinct keys, scores) on every registered dataset,
-including DISTINCT ranking queries.
+Two engines answer the same SPJ queries — the in-memory columnar engine and
+the sqlite pushdown backend — and this suite holds them to byte-identical
+:class:`RankedResult`\\ s (rows, order, projection, distinct keys, scores) on
+every registered dataset, including DISTINCT ranking queries, and on
+randomized instances with NULLs.  The Naive+prov mask index is held to the
+executor's answer for the same refined queries.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import ConstraintSet, NaiveProvenanceSearch, at_least
-from repro.datasets.registry import DATASET_BUILDERS, load_dataset
-from repro.relational import QueryExecutor, SPJQuery
-from repro.relational.columnar import (
-    numpy_available,
-    rowwise_fallback,
-    vectorization_enabled,
+from repro.core import (
+    ConstraintSet,
+    MaskIndexData,
+    NaiveProvenanceSearch,
+    NaiveSearch,
+    at_least,
 )
+from repro.datasets.registry import DATASET_BUILDERS, load_dataset
+from repro.relational import (
+    CategoricalPredicate,
+    Database,
+    NumericalPredicate,
+    OrderBy,
+    QueryExecutor,
+    Relation,
+    Schema,
+    SPJQuery,
+)
+from repro.relational.schema import categorical, numerical
 
 #: Reduced sizes so the whole registry can be evaluated twice per test run.
 _SMALL_PARAMETERS = {
@@ -28,10 +41,6 @@ _SMALL_PARAMETERS = {
     "meps": {"num_rows": 400},
     "tpch": {"scale_factor": 0.05},
 }
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized engine requires numpy"
-)
 
 
 def _bundle(name):
@@ -48,28 +57,6 @@ def _identical(fast, slow):
     assert list(map(repr, fast.relation.rows)) == list(map(repr, slow.relation.rows))
     assert fast.top_k_keys(25) == slow.top_k_keys(25)
     assert fast.scores() == slow.scores()
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_vectorized_executor_matches_rowwise(name):
-    bundle = _bundle(name)
-    assert vectorization_enabled()
-    fast = QueryExecutor(bundle.database).evaluate(bundle.query)
-    with rowwise_fallback():
-        assert not vectorization_enabled()
-        slow = QueryExecutor(bundle.database).evaluate(bundle.query)
-    _identical(fast, slow)
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_vectorized_unfiltered_evaluation_matches_rowwise(name):
-    bundle = _bundle(name)
-    fast = QueryExecutor(bundle.database).evaluate_unfiltered(bundle.query)
-    with rowwise_fallback():
-        slow = QueryExecutor(bundle.database).evaluate_unfiltered(bundle.query)
-    _identical(fast, slow)
 
 
 #: DISTINCT projections with plenty of duplicates, per dataset, so the
@@ -96,38 +83,29 @@ def _distinct_variant(bundle) -> SPJQuery:
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_sqlite_backend_matches_memory_engines(name):
-    """row == columnar == sqlite on the paper query and its unfiltered ~Q."""
+    """columnar == sqlite on the paper query and its unfiltered ~Q."""
     bundle = _bundle(name)
     for query in (bundle.query, bundle.query.without_selection()):
         sqlite = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
         memory = QueryExecutor(bundle.database, backend="memory").evaluate(query)
         _identical(sqlite, memory)
-        with rowwise_fallback():
-            rowwise = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-        _identical(sqlite, rowwise)
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
 def test_sqlite_backend_matches_memory_engines_on_distinct_ranking(name):
-    """row == columnar == sqlite on a DISTINCT ranking projection."""
+    """columnar == sqlite on a DISTINCT ranking projection."""
     bundle = _bundle(name)
     query = _distinct_variant(bundle)
     sqlite = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
     memory = QueryExecutor(bundle.database, backend="memory").evaluate(query)
     _identical(sqlite, memory)
-    with rowwise_fallback():
-        rowwise = QueryExecutor(bundle.database, backend="memory").evaluate(query)
-        # The sqlite *gather* also has a row-based path; exercise it too.
-        sqlite_rowwise = QueryExecutor(bundle.database, backend="sqlite").evaluate(query)
-    _identical(sqlite, rowwise)
-    _identical(sqlite, sqlite_rowwise)
 
 
-@needs_numpy
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_candidate_mask_evaluation_matches_rowwise(name):
-    """The Naive+prov fast path and the row-based reference select the same
-    tuples for a sample of candidate refinements."""
+def test_candidate_mask_evaluation_matches_executors(name):
+    """The Naive+prov mask index selects the same tuples as both executor
+    backends evaluating the refined query, for a sample of candidates; so
+    does its executor fallback for candidates no mask can answer."""
     bundle = _bundle(name)
     constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
     search = NaiveProvenanceSearch(
@@ -135,10 +113,24 @@ def test_candidate_mask_evaluation_matches_rowwise(name):
     )
     search.search()  # runs _prepare, examining no candidates
     assert search._fast is not None
+    # An index built for a query with no predicates has no mask to offer.
+    unfiltered = bundle.query.without_selection()
+    fallback = NaiveProvenanceSearch(
+        bundle.database,
+        bundle.query,
+        constraints,
+        max_candidates=0,
+        mask_data=MaskIndexData.build(
+            unfiltered, QueryExecutor(bundle.database).evaluate(unfiltered).relation
+        ),
+    )
+    fallback.search()
 
     from repro.core.refinement import RefinementSpace
     from repro.provenance.lineage import annotate
 
+    memory = QueryExecutor(bundle.database, backend="memory")
+    sqlite = QueryExecutor(bundle.database, backend="sqlite")
     annotated = annotate(bundle.query, bundle.database)
     space = RefinementSpace(bundle.query, annotated)
     for count, refinement in enumerate(space.enumerate()):
@@ -146,8 +138,12 @@ def test_candidate_mask_evaluation_matches_rowwise(name):
             break
         refined_query = refinement.apply(bundle.query)
         fast = search._evaluate(refinement, refined_query)
-        slow = search._evaluate_rowwise(refinement, refined_query)
-        _identical(fast, slow)
+        # The result came from the mask index, not the executor fallback.
+        assert search._positions is not None
+        _identical(fast, memory.evaluate(refined_query))
+        _identical(fast, sqlite.evaluate(refined_query))
+        _identical(fallback._evaluate(refinement, refined_query), fast)
+        assert fallback._positions is None
 
 
 def _any_group(bundle):
@@ -164,57 +160,6 @@ def _any_group(bundle):
             if domain:
                 return {attribute.name: domain[0]}
     raise AssertionError("dataset has no categorical attribute to group on")
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
-def test_batched_sweep_matches_per_candidate_positions(name):
-    """The batched-sweep threshold tables select exactly the per-candidate sets."""
-    from repro.core.refinement import RefinementSpace
-    from repro.provenance.lineage import annotate
-
-    bundle = _bundle(name)
-    constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
-    batched = NaiveProvenanceSearch(
-        bundle.database, bundle.query, constraints, max_candidates=0
-    )
-    batched.search()
-    assert batched._fast is not None
-
-    annotated = annotate(bundle.query, bundle.database)
-    space = RefinementSpace(bundle.query, annotated)
-    for count, refinement in enumerate(space.enumerate()):
-        if count >= 40:
-            break
-        refined_query = refinement.apply(bundle.query)
-        fast = batched._fast.selected_positions(refined_query, batched=True)
-        slow = batched._fast.selected_positions(refined_query, batched=False)
-        assert fast.tolist() == slow.tolist()
-
-
-@needs_numpy
-def test_batched_and_per_candidate_search_agree():
-    bundle = _bundle("students")
-    constraints = ConstraintSet(
-        [at_least(3, 6, Gender="F"), at_least(1, 3, Income="High")]
-    )
-
-    def run(batched):
-        return NaiveProvenanceSearch(
-            bundle.database,
-            bundle.query,
-            constraints,
-            max_candidates=400,
-            batched_sweeps=batched,
-        ).search()
-
-    fast = run(True)
-    slow = run(False)
-    assert fast.feasible == slow.feasible
-    assert fast.candidates_examined == slow.candidates_examined
-    assert fast.refinement == slow.refinement
-    assert fast.distance_value == slow.distance_value
-    assert fast.deviation == slow.deviation
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
@@ -242,24 +187,135 @@ def test_jobs_axis_parity(name):
     assert sharded.exhausted == serial.exhausted
 
 
-@needs_numpy
-def test_full_naive_prov_search_matches_rowwise_result():
-    """End-to-end: the fast search picks the same refinement as the row path."""
+def test_full_naive_prov_search_matches_naive_result():
+    """End-to-end: Naive+prov picks the same refinement as Naive, which
+    re-evaluates every candidate on the executor."""
     bundle = _bundle("students")
     constraints = ConstraintSet(
         [at_least(3, 6, Gender="F"), at_least(1, 3, Income="High")]
     )
 
-    def run():
-        return NaiveProvenanceSearch(
+    def run(cls):
+        return cls(
             bundle.database, bundle.query, constraints, max_candidates=400
         ).search()
 
-    fast = run()
-    with rowwise_fallback():
-        slow = run()
+    fast = run(NaiveProvenanceSearch)
+    slow = run(NaiveSearch)
     assert fast.feasible == slow.feasible
     assert fast.candidates_examined == slow.candidates_examined
     assert fast.refinement == slow.refinement
     assert fast.distance_value == slow.distance_value
     assert fast.deviation == slow.deviation
+
+
+# -- randomized memory == sqlite parity ------------------------------------------
+
+#: Small value pools so that random instances hit ties, duplicate DISTINCT
+#: keys, NULLs and int/float mixes (``1`` next to ``1.0``) often.
+_GROUPS = ("a", "b", "c", None)
+_NUMBERS = st.one_of(
+    st.none(), st.integers(-2, 3), st.sampled_from([-1.5, 0.0, 0.5, 1.0, 2.5])
+)
+_SCORES = st.one_of(st.none(), st.integers(0, 3), st.sampled_from([1.0, 2.5]))
+_KEYS = st.sampled_from([1, 2, 3, None])
+_OPERATORS = ("<", "<=", "=", ">", ">=")
+
+
+def _where(draw, numeric_attributes):
+    """0-2 numerical predicates plus an optional IN-list that may hold None."""
+    predicates = []
+    for _ in range(draw(st.integers(0, 2))):
+        predicates.append(
+            NumericalPredicate(
+                draw(st.sampled_from(numeric_attributes)),
+                draw(st.sampled_from(_OPERATORS)),
+                draw(st.sampled_from([-1, 0, 0.5, 1, 2])),
+            )
+        )
+    if draw(st.booleans()):
+        values = draw(st.sets(st.sampled_from(_GROUPS), min_size=1))
+        predicates.append(CategoricalPredicate("grp", values))
+    return predicates
+
+
+def _select(draw, attributes):
+    """``SELECT *``, or a DISTINCT projection over 1-2 attributes."""
+    if not draw(st.booleans()):
+        return (), False
+    chosen = draw(st.lists(st.sampled_from(attributes), min_size=1, max_size=2, unique=True))
+    return tuple(chosen), True
+
+
+@st.composite
+def _single_table_instances(draw):
+    size = draw(st.integers(0, 12))
+    rows = [
+        (f"r{i}", draw(st.sampled_from(_GROUPS)), draw(_NUMBERS), draw(_SCORES))
+        for i in range(size)
+    ]
+    schema = Schema([categorical("id"), categorical("grp"), numerical("x"), numerical("s")])
+    select, distinct = _select(draw, ["grp", "x", "s"])
+    query = SPJQuery(
+        tables=["r"],
+        where=_where(draw, ["x", "s"]),
+        order_by=OrderBy("s", descending=draw(st.booleans())),
+        select=select,
+        distinct=distinct,
+        name="random",
+    )
+    return Database([Relation("r", schema, rows)]), query
+
+
+@st.composite
+def _join_instances(draw):
+    left = [
+        (f"l{i}", draw(_KEYS), draw(_NUMBERS), draw(_SCORES))
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    right = [
+        (draw(_KEYS), draw(st.sampled_from(_GROUPS)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    left_schema = Schema([categorical("id"), categorical("k"), numerical("x"), numerical("s")])
+    right_schema = Schema([categorical("k"), categorical("grp")])
+    select, distinct = _select(draw, ["k", "grp", "x"])
+    query = SPJQuery(
+        tables=["l", "r"],
+        where=_where(draw, ["x", "s"]),
+        order_by=OrderBy("s", descending=draw(st.booleans())),
+        select=select,
+        distinct=distinct,
+        name="random_join",
+    )
+    database = Database(
+        [Relation("l", left_schema, left), Relation("r", right_schema, right)]
+    )
+    return database, query
+
+
+def _assert_backends_agree(database, query):
+    sqlite_executor = QueryExecutor(database, backend="sqlite")
+    try:
+        sqlite = sqlite_executor.evaluate(query)
+    finally:
+        sqlite_executor.close_connections()
+    memory = QueryExecutor(database, backend="memory").evaluate(query)
+    assert memory.relation.schema == sqlite.relation.schema
+    assert list(map(repr, memory.relation.rows)) == list(map(repr, sqlite.relation.rows))
+    assert list(map(repr, memory.projected.rows)) == list(map(repr, sqlite.projected.rows))
+    assert memory.scores() == sqlite.scores()
+    assert repr(memory.top_k_keys(5)) == repr(sqlite.top_k_keys(5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_single_table_instances())
+def test_random_single_table_queries_match_across_backends(instance):
+    _assert_backends_agree(*instance)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_join_instances())
+def test_random_join_queries_match_across_backends(instance):
+    """The natural join key holds NULLs, which join each other on both engines."""
+    _assert_backends_agree(*instance)

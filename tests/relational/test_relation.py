@@ -177,49 +177,36 @@ def test_property_natural_join_matches_nested_loop_semantics(left_rows, right_ro
 
 
 class TestColumnarOperatorParity:
-    """The derived-column / concat / callable operators must agree across
-    representations and keep store-backed inputs columnar."""
+    """The derived-column / concat / callable operators and lazy takes on
+    store-backed relations return the rows the row tuples spell out."""
 
     @pytest.fixture
     def store_backed(self, people):
-        store = people.column_store()
-        if store is None:
-            pytest.skip("vectorized engine requires numpy")
-        return Relation.from_store("people", store)
+        return Relation.from_store("people", people.column_store())
 
-    def test_with_column_matches_rowwise(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
+    def test_with_column_appends_computed_values(self, people, store_backed):
         attribute = Attribute("senior", AttributeKind.CATEGORICAL)
         compute = lambda row: "yes" if row["age"] >= 30 else "no"
-        fast = store_backed.with_column(attribute, compute)
-        with rowwise_fallback():
-            slow = people.with_column(attribute, compute)
-        assert fast.rows == slow.rows
-        assert fast.schema == slow.schema
-        assert fast.column_store() is not None
+        extended = store_backed.with_column(attribute, compute)
+        assert extended.rows == [
+            ("ann", "paris", 34, "yes"),
+            ("bob", "rome", 28, "no"),
+            ("cee", "paris", 41, "yes"),
+            ("dan", "oslo", 28, "no"),
+        ]
+        assert extended.schema == Schema(list(people.schema.attributes) + [attribute])
 
-    def test_concat_matches_rowwise(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
-        fast = store_backed.concat(store_backed)
-        with rowwise_fallback():
-            slow = people.concat(people)
-        assert fast.rows == slow.rows
-        assert fast.column_store() is not None
+    def test_concat_appends_rows(self, people, store_backed):
+        assert store_backed.concat(store_backed).rows == people.rows + people.rows
 
     def test_callable_select_stays_columnar(self, store_backed):
         selected = store_backed.select(lambda row: row["city"] == "paris")
+        # A coordinate take over the shared store, not a copy of the rows.
+        assert selected._rows is None
         assert [row[0] for row in selected] == ["ann", "cee"]
-        assert selected.column_store() is not None
 
-    def test_count_where_agrees_across_representations(self, people, store_backed):
-        from repro.relational.columnar import rowwise_fallback
-
-        condition = lambda row: row["age"] < 30
-        with rowwise_fallback():
-            expected = people.count_where(condition)
-        assert store_backed.count_where(condition) == expected == 2
+    def test_count_where_on_store_backed_relation(self, store_backed):
+        assert store_backed.count_where(lambda row: row["age"] < 30) == 2
 
     def test_lazy_take_gathers_identical_rows(self, store_backed, people):
         taken = store_backed.take([2, 0])
