@@ -4,8 +4,10 @@ Two engines answer the same SPJ queries — the in-memory columnar engine and
 the sqlite pushdown backend — and this suite holds them to byte-identical
 :class:`RankedResult`\\ s (rows, order, projection, distinct keys, scores) on
 every registered dataset, including DISTINCT ranking queries, and on
-randomized instances with NULLs.  The Naive+prov mask index is held to the
-executor's answer for the same refined queries.
+randomized instances with NULLs.  The columnar engine and the Naive+prov
+batched sweep are also held to a row-at-a-time reference evaluation written
+out in this file, and the Naive+prov mask index to the executor's answer for
+the same refined queries.
 """
 
 from __future__ import annotations
@@ -57,6 +59,102 @@ def _identical(fast, slow):
     assert list(map(repr, fast.relation.rows)) == list(map(repr, slow.relation.rows))
     assert fast.top_k_keys(25) == slow.top_k_keys(25)
     assert fast.scores() == slow.scores()
+
+
+# -- row-at-a-time reference -------------------------------------------------------
+
+
+def _dict_rows(relation):
+    names = relation.schema.names
+    return [dict(zip(names, row)) for row in relation.rows]
+
+
+def _rowwise_join(database, tables):
+    """Nested-loop NATURAL JOIN of ``tables`` in order, as named dict rows.
+
+    Left rows drive the output order and each left row meets its matches in
+    right-relation order; with no shared attribute the join is a cartesian
+    product.  Shared values compare with ``==``, so NULLs join each other.
+    """
+    first = database.relation(tables[0])
+    names = list(first.schema.names)
+    rows = _dict_rows(first)
+    for table in tables[1:]:
+        other = database.relation(table)
+        shared = [name for name in other.schema.names if name in names]
+        extra = [name for name in other.schema.names if name not in names]
+        other_rows = _dict_rows(other)
+        rows = [
+            {**left, **{name: right[name] for name in extra}}
+            for left in rows
+            for right in other_rows
+            if all(left[name] == right[name] for name in shared)
+        ]
+        names.extend(extra)
+    return names, rows
+
+
+def _rowwise_filter(rows, query):
+    """Rows satisfying ``query.where``, then DISTINCT (first row per key wins)."""
+    kept = [row for row in rows if query.where.matches(row)]
+    if query.distinct and query.select:
+        seen = set()
+        unique = []
+        for row in kept:
+            key = tuple(row[name] for name in query.select)
+            if key not in seen:
+                seen.add(key)
+                unique.append(row)
+        kept = unique
+    return kept
+
+
+def _rowwise_evaluate(database, query):
+    """The SPJ semantics one row at a time: join, stable sort, filter, DISTINCT.
+
+    Returns the result's column names and its rows in rank order.  The sort
+    is stable and puts NULL scores last in both directions.
+    """
+    names, rows = _rowwise_join(database, query.tables)
+    attribute = query.order_by.attribute
+    scored = [row for row in rows if row[attribute] is not None]
+    nulls = [row for row in rows if row[attribute] is None]
+    ordered = sorted(
+        scored, key=lambda row: row[attribute], reverse=query.order_by.descending
+    )
+    kept = _rowwise_filter(ordered + nulls, query)
+    return names, [tuple(row[name] for name in names) for row in kept]
+
+
+def _matches_rowwise(database, query):
+    result = QueryExecutor(database).evaluate(query)
+    names, rows = _rowwise_evaluate(database, query)
+    assert list(result.relation.schema.names) == names
+    assert result.relation.rows == rows
+    # reprs catch type drift that == would mask (e.g. 34 vs 34.0).
+    assert list(map(repr, result.relation.rows)) == list(map(repr, rows))
+    select = list(query.select) or names
+    projected = [tuple(row[names.index(name)] for name in select) for row in rows]
+    assert list(map(repr, result.projected.rows)) == list(map(repr, projected))
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_vectorized_executor_matches_rowwise(name):
+    """The columnar executor answers the paper query and a DISTINCT ranking
+    projection exactly as a row-at-a-time evaluation does."""
+    bundle = _bundle(name)
+    _matches_rowwise(bundle.database, bundle.query)
+    _matches_rowwise(bundle.database, _distinct_variant(bundle))
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_vectorized_unfiltered_evaluation_matches_rowwise(name):
+    bundle = _bundle(name)
+    executor = QueryExecutor(bundle.database)
+    unfiltered = executor.evaluate_unfiltered(bundle.query)
+    names, rows = _rowwise_evaluate(bundle.database, bundle.query.without_selection())
+    assert list(unfiltered.relation.schema.names) == names
+    assert list(map(repr, unfiltered.relation.rows)) == list(map(repr, rows))
 
 
 #: DISTINCT projections with plenty of duplicates, per dataset, so the
@@ -160,6 +258,37 @@ def _any_group(bundle):
             if domain:
                 return {attribute.name: domain[0]}
     raise AssertionError("dataset has no categorical attribute to group on")
+
+
+@pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+def test_batched_sweep_matches_per_candidate_positions(name):
+    """The batched-sweep threshold tables select exactly the positions of
+    ``~Q(D)`` a per-candidate, row-at-a-time filter selects."""
+    from repro.core.refinement import RefinementSpace
+    from repro.provenance.lineage import annotate
+
+    bundle = _bundle(name)
+    constraints = ConstraintSet([at_least(1, 5, **_any_group(bundle))])
+    search = NaiveProvenanceSearch(
+        bundle.database, bundle.query, constraints, max_candidates=0
+    )
+    search.search()  # runs _prepare, examining no candidates
+    assert search._fast is not None
+    base_rows = _dict_rows(search._base)
+    position_of = {id(row): position for position, row in enumerate(base_rows)}
+
+    annotated = annotate(bundle.query, bundle.database)
+    space = RefinementSpace(bundle.query, annotated)
+    for count, refinement in enumerate(space.enumerate()):
+        if count >= 40:
+            break
+        refined_query = refinement.apply(bundle.query)
+        batched = search._fast.selected_positions(refined_query)
+        per_candidate = [
+            position_of[id(row)] for row in _rowwise_filter(base_rows, refined_query)
+        ]
+        assert batched is not None
+        assert batched.tolist() == per_candidate
 
 
 @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
